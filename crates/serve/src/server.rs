@@ -105,22 +105,23 @@ impl Shared {
 /// compiles (identical-plan sessions therefore always share a shard),
 /// or a block-type hash for interpreter-fallback diagrams.
 pub fn route_shard(diagram: &Diagram, dt: f64, shards: usize) -> usize {
-    (route_key(diagram, dt) % shards.max(1) as u64) as usize
+    shard_of(lowering_digest(diagram, dt), diagram, shards)
 }
 
-fn route_key(diagram: &Diagram, dt: f64) -> u64 {
-    if let Some(d) = lowering_digest(diagram, dt) {
-        return d;
-    }
-    // FNV-1a over the block type names — any deterministic spreading
-    // works, these sessions never coalesce anyway.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in diagram.ids() {
-        for b in diagram.block(id).type_name().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+/// [`route_shard`] from a lowering digest already in hand.
+fn shard_of(digest: Option<u64>, diagram: &Diagram, shards: usize) -> usize {
+    // FNV-1a over the block type names for unlowerable diagrams — any
+    // deterministic spreading works, these sessions never coalesce
+    let key = digest.unwrap_or_else(|| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for id in diagram.ids() {
+            for b in diagram.block(id).type_name().bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
         }
-    }
-    h
+        h
+    });
+    (key % shards.max(1) as u64) as usize
 }
 
 /// A running multi-tenant simulation service.
@@ -187,7 +188,7 @@ impl Server {
             )));
         }
 
-        let shard = route_shard(&spec.diagram, spec.dt, self.txs.len());
+        let shard = shard_of(digest, &spec.diagram, self.txs.len());
 
         // deadline admission: predict run time from the routed shard's
         // measured p99 step latency and refuse infeasible sessions

@@ -1,6 +1,7 @@
 //! Shard worker: drains its bounded queue, coalesces same-plan
-//! sessions into `BatchEngine` gangs, and round-robins quanta across
-//! the active set.
+//! sessions into `BatchEngine` gangs, lets a late gang catch up with
+//! and merge into an older one of the same plan, and round-robins
+//! quanta across the active set.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,12 +71,26 @@ struct Gang {
     lanes: Vec<Lane>,
     priority: u8,
     seq: u64,
+    chase: Chase,
 }
 
 impl Gang {
     fn live(&self) -> usize {
         self.lanes.iter().filter(|l| !l.done).count()
     }
+}
+
+/// A gang's part in catch-up merging (see `pick_chases`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Chase {
+    /// Stepping on its own.
+    Free,
+    /// Stepping alone towards `goal`, the frozen step count of the
+    /// parked gang whose `seq` is `target`; merges into it there.
+    Chasing { target: u64, goal: u64 },
+    /// Held at its step count (cancel sweeps only) while a younger
+    /// gang catches up.
+    Parked,
 }
 
 /// An interpreter-fallback session (unlowerable diagram).
@@ -115,18 +130,30 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
         }
 
         if !pending.is_empty() {
+            let formed = gangs.len();
             form_gangs(shard, shared, &mut pending, &mut gangs, &mut solos);
+            pick_chases(&mut gangs, formed, shared.config.max_lanes.max(1));
         }
 
         // one quantum per active gang/solo, highest priority first
-        gangs.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
-        solos.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
+        // (seq is unique per gang and per solo, so the order is total
+        // and an unstable sort, which never allocates, gives it)
+        gangs.sort_unstable_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
+        solos.sort_unstable_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
         for g in &mut gangs {
-            gang_quantum(g, shard, shared);
+            match g.chase {
+                Chase::Free => gang_quantum(g, u64::MAX, shard, shared),
+                Chase::Chasing { goal, .. } => {
+                    let gap = goal - g.engine.steps();
+                    gang_quantum(g, gap, shard, shared);
+                }
+                Chase::Parked => cancel_sweep(&mut g.lanes, shared),
+            }
         }
         for s in &mut solos {
             solo_quantum(s, shard, shared);
         }
+        settle_chases(&mut gangs, shard, shared);
         gangs.retain(|g| g.live() > 0);
         solos.retain(|s| !s.lane.done);
         if shared.config.compact {
@@ -265,7 +292,80 @@ fn start_gang(
             }
         }
     }
-    gangs.push(Gang { engine, lanes, priority, seq });
+    gangs.push(Gang { engine, lanes, priority, seq, chase: Chase::Free });
+}
+
+/// Give each gang formed this round (`gangs[formed..]`, none stepped
+/// yet) the oldest running gang it can catch up with: same compiled
+/// plan and priority, neither side already in a chase, live lanes
+/// that fit one gang together, and a target no further along than
+/// its widest lane still has to go — so the catch-up never outlasts
+/// what the target still has to run. The target is parked at its
+/// current step count; the chaser steps alone until it gets there.
+fn pick_chases(gangs: &mut [Gang], formed: usize, max_lanes: usize) {
+    for j in formed..gangs.len() {
+        let chaser = &gangs[j];
+        let live = chaser.live();
+        if live == 0 {
+            continue;
+        }
+        let target = gangs
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| {
+                let steps = g.engine.steps();
+                g.chase == Chase::Free
+                    && steps > 0
+                    && g.priority == chaser.priority
+                    && std::ptr::eq(g.engine.plan(), chaser.engine.plan())
+                    && g.live() + live <= max_lanes
+                    && steps <= max_remaining(&g.lanes)
+            })
+            .min_by_key(|(_, g)| g.seq)
+            .map(|(i, g)| (i, g.seq, g.engine.steps()));
+        if let Some((i, target, goal)) = target {
+            gangs[i].chase = Chase::Parked;
+            gangs[j].chase = Chase::Chasing { target, goal };
+        }
+    }
+}
+
+/// End-of-round chase bookkeeping: a chaser that reached its goal
+/// merges into its target; a chase in which either side has no live
+/// lane left is dropped, unparking the target.
+fn settle_chases(gangs: &mut [Gang], shard: usize, shared: &Shared) {
+    for j in 0..gangs.len() {
+        let Chase::Chasing { target, goal } = gangs[j].chase else {
+            continue;
+        };
+        let i = gangs
+            .iter()
+            .position(|g| g.seq == target)
+            .expect("a parked target is retained until its chase settles");
+        let (t, c) = pair_mut(gangs, i, j);
+        if t.live() > 0 && c.live() > 0 {
+            if c.engine.steps() < goal {
+                continue;
+            }
+            if repack(t, Some(c)) {
+                shared.shard_states[shard].lock().merges += 1;
+            }
+        }
+        t.chase = Chase::Free;
+        c.chase = Chase::Free;
+    }
+}
+
+/// Mutable references to two distinct elements.
+fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
+    assert_ne!(i, j);
+    if i < j {
+        let (a, b) = v.split_at_mut(j);
+        (&mut a[i], &mut b[0])
+    } else {
+        let (a, b) = v.split_at_mut(i);
+        (&mut b[0], &mut a[j])
+    }
 }
 
 fn start_solo(task: SessionTask, shard: usize, shared: &Arc<Shared>, solos: &mut Vec<Solo>) {
@@ -305,13 +405,15 @@ fn cancel_sweep(lanes: &mut [Lane], shared: &Shared) {
     }
 }
 
-fn gang_quantum(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
+/// Advance a gang one quantum, cut short at `cap` steps (a chaser
+/// stops exactly at its target's step count).
+fn gang_quantum(gang: &mut Gang, cap: u64, shard: usize, shared: &Arc<Shared>) {
     cancel_sweep(&mut gang.lanes, shared);
     let rem = max_remaining(&gang.lanes);
     if rem == 0 {
         return;
     }
-    let q = shared.config.quantum.max(1).min(rem);
+    let q = shared.config.quantum.max(1).min(rem).min(cap);
     let t0 = Instant::now();
     for _ in 0..q {
         gang.engine.step();
@@ -364,31 +466,47 @@ fn record_probes(chunk: &mut Vec<Value>, probes: &[Source], probe: impl Fn(Sourc
     }
 }
 
-/// Once at least half a (≥4-lane) gang's lanes have finished, transplant
-/// the survivors into a narrower engine over the same shared plan —
-/// checkpoint/restore is bit-exact, so trajectories are unaffected, and
-/// the dead lanes stop costing SoA bandwidth.
+/// Once at least half a (≥4-lane) gang's lanes have finished, narrow
+/// it to its survivors so the dead lanes stop costing SoA bandwidth.
 fn maybe_compact(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     let live = gang.live();
     let total = gang.lanes.len();
     if total < 4 || live == 0 || (total - live) < live {
         return;
     }
-    let mut narrow = BatchEngine::from_shared_plan(gang.engine.shared_plan(), live);
-    narrow.seek(gang.engine.steps());
+    if repack(gang, None) {
+        shared.shard_states[shard].lock().compactions += 1;
+    }
+}
+
+/// Transplant the live lanes of `gang`, then those of `joiner` (same
+/// plan, same step count), into one fresh engine exactly as wide as
+/// they are; finished lanes are dropped and `joiner` is left empty.
+/// Checkpoint/restore is bit-exact and carries each lane's overrides,
+/// and a lane's stream state travels with its `Lane`, so trajectories
+/// are unaffected. Returns false, with nothing moved, if a restore is
+/// refused.
+fn repack(gang: &mut Gang, joiner: Option<&mut Gang>) -> bool {
+    let live = gang.live() + joiner.as_ref().map_or(0, |j| j.live());
+    let mut engine = BatchEngine::from_shared_plan(gang.engine.shared_plan(), live);
+    engine.seek(gang.engine.steps());
     let mut target = 0;
-    for (li, lane) in gang.lanes.iter().enumerate() {
-        if !lane.done {
-            let chk = gang.engine.checkpoint_lane(li);
-            let ok = narrow.restore_lane(target, &chk);
-            debug_assert!(ok, "same plan + seeked clock must restore");
-            if !ok {
-                return; // keep the wide engine; correctness first
+    for g in std::iter::once(&*gang).chain(joiner.as_deref()) {
+        for (li, lane) in g.lanes.iter().enumerate() {
+            if !lane.done {
+                let ok = engine.restore_lane(target, &g.engine.checkpoint_lane(li));
+                debug_assert!(ok, "same plan + seeked clock must restore");
+                if !ok {
+                    return false; // keep the old engines; correctness first
+                }
+                target += 1;
             }
-            target += 1;
         }
     }
-    gang.engine = narrow;
+    gang.engine = engine;
     gang.lanes.retain(|l| !l.done);
-    shared.shard_states[shard].lock().compactions += 1;
+    if let Some(j) = joiner {
+        gang.lanes.extend(j.lanes.drain(..).filter(|l| !l.done));
+    }
+    true
 }

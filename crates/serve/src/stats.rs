@@ -69,6 +69,9 @@ pub struct ShardStats {
     /// Batches narrowed via lane checkpoint/transplant after enough
     /// lanes finished.
     pub compactions: u64,
+    /// Late gangs that caught up with an older same-plan gang and
+    /// merged into it.
+    pub merges: u64,
     /// Solo (interpreter-fallback) sessions this shard ran.
     pub solo_sessions: u64,
     /// Plan-cache hits attributable to this shard's lookups.
@@ -124,6 +127,7 @@ impl ServeStats {
             m.add_counter(&format!("{p}sessions"), s.sessions);
             m.add_counter(&format!("{p}batches"), s.batches);
             m.add_counter(&format!("{p}compactions"), s.compactions);
+            m.add_counter(&format!("{p}merges"), s.merges);
             m.add_counter(&format!("{p}solo_sessions"), s.solo_sessions);
             m.add_counter(&format!("{p}queue_depth"), s.queue_depth as u64);
             m.add_counter(&format!("plancache.shard{}.hit", s.shard), s.cache_hits);
@@ -141,6 +145,7 @@ pub(crate) struct ShardState {
     pub(crate) sessions: u64,
     pub(crate) batches: u64,
     pub(crate) compactions: u64,
+    pub(crate) merges: u64,
     pub(crate) solo_sessions: u64,
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
@@ -166,6 +171,7 @@ impl ShardState {
             sessions: self.sessions,
             batches: self.batches,
             compactions: self.compactions,
+            merges: self.merges,
             solo_sessions: self.solo_sessions,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,

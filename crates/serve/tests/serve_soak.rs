@@ -225,10 +225,12 @@ fn soak_counters_equal_schedule_derived_expectations() {
     let digest = lowering_digest(&shape(0), DT).expect("shape 0 lowers");
     assert_eq!(flood_shard, (digest % 4) as usize);
 
-    // every shard that ran sessions measured step latency
+    // every shard that ran sessions measured step latency; and since a
+    // paused schedule forms every gang at step 0, none ever merged
     for sh in &stats.shards {
         if sh.sessions > 0 {
             assert!(sh.step_ns.count > 0, "shard {} ran without histogram samples", sh.shard);
         }
+        assert_eq!(sh.merges, 0, "shard {} merged a paused schedule's gangs", sh.shard);
     }
 }

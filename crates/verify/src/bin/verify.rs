@@ -114,12 +114,14 @@ fn main() {
                 report.lint_defects
             );
             println!(
-                "  serve: {} multi-tenant schedule(s), {} session(s) bit-exact with a \
-                 solo engine run; plan cache {} hit(s) > {} miss(es)",
-                report.serve_schedules,
+                "  serve: {n} multi-tenant + {n} late-joiner schedule(s), {} session(s) \
+                 bit-exact with a solo engine run; plan cache {} hit(s) > {} miss(es); \
+                 {} gang merge(s) as predicted",
                 report.serve_sessions,
                 report.serve_cache_hits,
-                report.serve_cache_misses
+                report.serve_cache_misses,
+                report.serve_merges,
+                n = report.serve_schedules
             );
             println!(
                 "  wire:  {} schedule(s) over loopback TCP indistinguishable from \

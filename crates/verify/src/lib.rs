@@ -74,7 +74,8 @@ pub struct SuiteReport {
     pub lint_dead_removed: u64,
     /// Seeded deny-class defects correctly refused.
     pub lint_defects: u64,
-    /// Multi-tenant serve schedules replayed through `peert-serve`.
+    /// Multi-tenant serve schedules replayed through `peert-serve`, each
+    /// paused and again as an unpaused late-joiner schedule.
     pub serve_schedules: u64,
     /// Served sessions proved bit-exact against a solo engine run.
     pub serve_sessions: u64,
@@ -83,6 +84,9 @@ pub struct SuiteReport {
     pub serve_cache_hits: u64,
     /// Plan-cache misses across the serve schedules.
     pub serve_cache_misses: u64,
+    /// Late gangs merged into a running gang across the late-joiner
+    /// schedules (each schedule's count exactly as predicted).
+    pub serve_merges: u64,
     /// Wire schedules replayed over a loopback socket, each proved
     /// indistinguishable from the same schedule run in-process.
     pub wire_schedules: u64,
@@ -366,15 +370,21 @@ pub fn run_suite(seed: u64, cases: u64, do_shrink: bool) -> Result<SuiteReport, 
 
     // serve phase: seeded multi-tenant schedules through peert-serve
     // (≥64), every batched-lane trajectory bit-exact against a solo
-    // engine run, and the plan cache hitting more than it misses
+    // engine run, and the plan cache hitting more than it misses; then
+    // as many unpaused late-joiner schedules, whose merges must match
+    // their prediction exactly
     let serve_schedules = cases.max(64);
     for case in 0..serve_schedules {
-        match servechk::run_serve_schedule(seed, case) {
-            Ok(r) => {
+        let run = servechk::run_serve_schedule(seed, case).and_then(|r| {
+            servechk::run_late_join_schedule(seed, case).map(|late| (r, late))
+        });
+        match run {
+            Ok((r, late)) => {
                 report.serve_schedules += 1;
-                report.serve_sessions += r.sessions;
+                report.serve_sessions += r.sessions + late.sessions;
                 report.serve_cache_hits += r.cache_hits;
                 report.serve_cache_misses += r.cache_misses;
+                report.serve_merges += late.merges;
             }
             Err(message) => {
                 return Err(Failure {
@@ -397,6 +407,19 @@ pub fn run_suite(seed: u64, cases: u64, do_shrink: bool) -> Result<SuiteReport, 
                 "coalescing regressed: {} plan-cache hit(s) vs {} miss(es) across {} \
                  schedules (hits must dominate)",
                 report.serve_cache_hits, report.serve_cache_misses, report.serve_schedules
+            ),
+            spec: String::new(),
+            blocks: 0,
+        });
+    }
+    if report.serve_merges == 0 {
+        return Err(Failure {
+            phase: "serve",
+            seed,
+            case: 0,
+            message: format!(
+                "none of {} late-joiner schedules merged: the oracle never saw a merged gang",
+                report.serve_schedules
             ),
             spec: String::new(),
             blocks: 0,

@@ -9,9 +9,16 @@
 //! then resumes, joins every stream and compares bit-for-bit. One
 //! session per schedule may be cancelled mid-run: its trajectory must
 //! be an exact prefix of the reference.
+//!
+//! Late-joiner schedules run unpaused: an early gang steps one quantum
+//! before a burst of sessions of the same diagram arrives, which then
+//! catches up with it and merges into one wider gang whenever the two
+//! fit — so the oracle covers merged lanes too.
 
 use peert_model::{Backend, Engine, Value};
-use peert_serve::{LaneOverride, Reject, ServeConfig, Server, SessionOutcome, SessionSpec};
+use peert_serve::{
+    LaneOverride, Reject, ServeConfig, Server, SessionHandle, SessionOutcome, SessionSpec,
+};
 
 use crate::diff::value_bits;
 use crate::gen;
@@ -28,6 +35,8 @@ pub struct ScheduleReport {
     pub cache_hits: u64,
     /// Plan-cache misses the server recorded.
     pub cache_misses: u64,
+    /// Late gangs merged into a running one.
+    pub merges: u64,
 }
 
 const JOIN: std::time::Duration = std::time::Duration::from_secs(60);
@@ -85,7 +94,7 @@ pub fn run_serve_schedule(seed: u64, case: u64) -> Result<ScheduleReport, String
     };
     let server = Server::start(config);
 
-    // (handle, reference spec, budget) per session, submitted paused so
+    // (handle, reference spec) per session, submitted paused so
     // gang formation sees the whole schedule at once
     let mut pending = Vec::new();
     let n_specs = 1 + r.below(3);
@@ -97,38 +106,8 @@ pub fn run_serve_schedule(seed: u64, case: u64) -> Result<ScheduleReport, String
         for _ in 0..k {
             let tenant = format!("tenant{}", r.below(4));
             let priority = r.below(2) as u8;
-            let (ref_spec, override_of) = if r.chance(1, 2) {
-                match override_gain(&spec, r.range_f64(0.25, 2.0)) {
-                    Some((twin, idx)) => {
-                        let BlockSpec::Gain { gain } = twin.blocks[idx] else { unreachable!() };
-                        (twin, Some((idx, gain)))
-                    }
-                    None => (spec.clone(), None),
-                }
-            } else {
-                (spec.clone(), None)
-            };
-            let diagram = spec.build()?;
-            let mut s = SessionSpec::new(tenant, diagram, spec.dt, MIL_STEPS)
-                .probe_all()
-                .priority(priority);
-            if let Some((idx, gain)) = override_of {
-                s = s.with_override(LaneOverride::Param {
-                    block: peert_model::BlockId::from_index(idx),
-                    index: 0,
-                    value: gain,
-                });
-            }
-            match server.submit(s) {
-                Ok(h) => pending.push((h, ref_spec, MIL_STEPS)),
-                Err(Reject::OverridesUnsupported(_)) if override_of.is_some() => {
-                    return Err(format!(
-                        "spec {si} of schedule {case} did not lower but gen_mil_spec \
-                         diagrams must (kernel phase relies on it)"
-                    ));
-                }
-                Err(e) => return Err(format!("unexpected reject: {e}")),
-            }
+            let (s, ref_spec) = session(&spec, &mut r, tenant, priority)?;
+            pending.push((submit(&server, s, si, case)?, ref_spec));
         }
     }
 
@@ -153,29 +132,8 @@ pub fn run_serve_schedule(seed: u64, case: u64) -> Result<ScheduleReport, String
     }
 
     let mut report = ScheduleReport::default();
-    for (i, (h, ref_spec, budget)) in pending.into_iter().enumerate() {
-        let res = h.join_deadline(JOIN).map_err(|e| format!("session {i}: {e}"))?;
-        if res.outcome != SessionOutcome::Completed {
-            return Err(format!("session {i} ended {:?}, expected completion", res.outcome));
-        }
-        if res.steps != budget {
-            return Err(format!("session {i} recorded {} steps, budget {budget}", res.steps));
-        }
-        let want = reference(&ref_spec, budget)?;
-        if bits(&res.trajectory) != bits(&want) {
-            let at = bits(&res.trajectory)
-                .iter()
-                .zip(bits(&want).iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(format!(
-                "session {i} diverged from the solo engine at flat index {at}: \
-                 served {:?} != reference {:?}\nspec: {}",
-                res.trajectory.get(at),
-                want.get(at),
-                ref_spec.to_json()
-            ));
-        }
+    for (i, (h, ref_spec)) in pending.into_iter().enumerate() {
+        check_completed(i, h, &ref_spec)?;
         report.sessions += 1;
     }
 
@@ -194,11 +152,155 @@ pub fn run_serve_schedule(seed: u64, case: u64) -> Result<ScheduleReport, String
         report.sessions += 1;
     }
 
+    finish(server, report)
+}
+
+/// Run late-joiner schedule `case` of `seed`. A few sessions of one
+/// diagram start on a running one-shard server and step exactly one
+/// quantum; then a burst of sessions of the same diagram arrives. The
+/// burst's gang must merge into the early one exactly when the two
+/// share a priority and fit one gang, and every trajectory must be
+/// bit-exact.
+pub fn run_late_join_schedule(seed: u64, case: u64) -> Result<ScheduleReport, String> {
+    let mut r = Rng::derive(seed, 0x1A7E_501E ^ case);
+
+    let max_lanes = 2 + r.below(3) as usize; // 2..=4
+    let quantum = 4 + r.below(12); // ≤ half of MIL_STEPS: always chaseable
+    let server = Server::start(ServeConfig {
+        shards: 1,
+        queue_cap: 64,
+        tenant_quota: 64,
+        max_lanes,
+        quantum,
+        plan_cache_cap: 16,
+        compact: r.chance(1, 2),
+        start_paused: true,
+    });
+    let spec = gen::gen_mil_spec(seed, case * 31 + 11);
+    let early = 1 + r.below(max_lanes as u64 - 1);
+    // one more than fits, some of the time
+    let late = 1 + r.below(max_lanes as u64 - early + 1);
+    let late_priority = r.below(2) as u8;
+
+    let mut pending = Vec::new();
+    for _ in 0..early {
+        let (s, ref_spec) = session(&spec, &mut r, "early".into(), 0)?;
+        pending.push((submit(&server, s, 0, case)?, ref_spec));
+    }
+    // Generic jobs run at the end of a scheduling round, so this one
+    // holds the worker right after the early gang's first quantum.
+    let (running_tx, running_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    server.submit_job(move || {
+        let _ = running_tx.send(());
+        let _ = release_rx.recv(); // released when the sender drops
+    });
+    server.resume();
+    running_rx.recv_timeout(JOIN).map_err(|_| "the round gate never ran".to_string())?;
+    for _ in 0..late {
+        let (s, ref_spec) = session(&spec, &mut r, "late".into(), late_priority)?;
+        pending.push((submit(&server, s, 0, case)?, ref_spec));
+    }
+    drop(release_tx);
+
+    let mut report = ScheduleReport::default();
+    for (i, (h, ref_spec)) in pending.into_iter().enumerate() {
+        check_completed(i, h, &ref_spec)?;
+        report.sessions += 1;
+    }
+    let expect = u64::from(late_priority == 0 && early + late <= max_lanes as u64);
+    let report = finish(server, report)?;
+    if report.merges != expect {
+        return Err(format!(
+            "{early} early + {late} late lane(s) (late priority {late_priority}, gang width \
+             {max_lanes}) merged {} time(s), expected {expect}",
+            report.merges
+        ));
+    }
+    Ok(report)
+}
+
+/// One session of `spec` for `tenant`, half the time with its first
+/// `Gain` overridden per lane; returns it with its solo twin.
+fn session(
+    spec: &DiagramSpec,
+    r: &mut Rng,
+    tenant: String,
+    priority: u8,
+) -> Result<(SessionSpec, DiagramSpec), String> {
+    let (ref_spec, override_of) = if r.chance(1, 2) {
+        match override_gain(spec, r.range_f64(0.25, 2.0)) {
+            Some((twin, idx)) => {
+                let BlockSpec::Gain { gain } = twin.blocks[idx] else { unreachable!() };
+                (twin, Some((idx, gain)))
+            }
+            None => (spec.clone(), None),
+        }
+    } else {
+        (spec.clone(), None)
+    };
+    let mut s =
+        SessionSpec::new(tenant, spec.build()?, spec.dt, MIL_STEPS).probe_all().priority(priority);
+    if let Some((idx, gain)) = override_of {
+        s = s.with_override(LaneOverride::Param {
+            block: peert_model::BlockId::from_index(idx),
+            index: 0,
+            value: gain,
+        });
+    }
+    Ok((s, ref_spec))
+}
+
+fn submit(server: &Server, s: SessionSpec, si: u64, case: u64) -> Result<SessionHandle, String> {
+    let overridden = !s.overrides.is_empty();
+    match server.submit(s) {
+        Ok(h) => Ok(h),
+        Err(Reject::OverridesUnsupported(_)) if overridden => Err(format!(
+            "spec {si} of schedule {case} did not lower but gen_mil_spec \
+             diagrams must (kernel phase relies on it)"
+        )),
+        Err(e) => Err(format!("unexpected reject: {e}")),
+    }
+}
+
+/// Join session `i`: it must complete its `MIL_STEPS` budget bit-exact
+/// against a solo engine run of `ref_spec`.
+fn check_completed(i: usize, h: SessionHandle, ref_spec: &DiagramSpec) -> Result<(), String> {
+    let budget = MIL_STEPS;
+    let res = h.join_deadline(JOIN).map_err(|e| format!("session {i}: {e}"))?;
+    if res.outcome != SessionOutcome::Completed {
+        return Err(format!("session {i} ended {:?}, expected completion", res.outcome));
+    }
+    if res.steps != budget {
+        return Err(format!("session {i} recorded {} steps, budget {budget}", res.steps));
+    }
+    let want = reference(ref_spec, budget)?;
+    if bits(&res.trajectory) != bits(&want) {
+        let at = bits(&res.trajectory)
+            .iter()
+            .zip(bits(&want).iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        return Err(format!(
+            "session {i} diverged from the solo engine at flat index {at}: \
+             served {:?} != reference {:?}\nspec: {}",
+            res.trajectory.get(at),
+            want.get(at),
+            ref_spec.to_json()
+        ));
+    }
+    Ok(())
+}
+
+/// Shut the server down: nothing may have failed inside the daemon.
+/// Fills in the cache and merge counts.
+fn finish(server: Server, mut report: ScheduleReport) -> Result<ScheduleReport, String> {
     let stats = server.shutdown();
     if stats.counters.failed != 0 {
         return Err(format!("{} session(s) failed inside the daemon", stats.counters.failed));
     }
     report.cache_hits = stats.plan_cache.hits;
     report.cache_misses = stats.plan_cache.misses;
+    report.merges = stats.shards.iter().map(|s| s.merges).sum();
     Ok(report)
 }

@@ -69,11 +69,14 @@ if [[ "${PIL_SOAK:-0}" == "1" ]]; then
     run env PIL_SOAK=1 cargo test --release --test pil_soak $CARGO_ARGS -- --nocapture
 fi
 
-# serving-layer gate: scheduler/admission property tests, plus the
-# coalesced-vs-solo throughput bench staying compilable (the recorded
-# numbers are BENCH_serve.json / E17)
+# serving-layer gate: scheduler/admission property tests, catch-up gang
+# merging driven round by round (bit-exact against solo engines), plus
+# the coalesced-vs-solo throughput bench staying compilable (the
+# recorded numbers are BENCH_serve.json / E17)
 # shellcheck disable=SC2086
 run cargo test --release -q -p peert-serve --test serve_props $CARGO_ARGS
+# shellcheck disable=SC2086
+run cargo test --release -q -p peert-serve --test serve_merge $CARGO_ARGS
 # shellcheck disable=SC2086
 run cargo bench --no-run --bench serve_throughput -p peert-bench $CARGO_ARGS
 
@@ -166,7 +169,8 @@ rm -f /tmp/peert-lint-rules.txt /tmp/peert-lint-rules-pinned.txt
 # PIL within the *certified* quantization tolerance (the lint's
 # ErrorCertificate, not a hand-derived bound), fault counters equal to
 # the schedule, ARQ recovery proofs under seeded fault schedules,
-# multi-tenant serve schedules bit-exact with solo engine runs, wire
+# multi-tenant serve schedules (paused, and unpaused late joiners that
+# merge into running gangs) bit-exact with solo engine runs, wire
 # schedules over loopback TCP indistinguishable from in-process,
 # multi-node schedules over the simulated CAN bus bit-exact vs the MIL
 # replica with exact counters, and the "numeric" phase holding every
