@@ -165,7 +165,7 @@ impl Engine {
     ///
     /// Tries the compiled kernel backend first (tapes are shared through
     /// the process-wide [`crate::kernel::PlanCache`], keyed by
-    /// [`Diagram::fingerprint`]); if any block does not lower, the engine
+    /// [`Diagram::structural_key`]); if any block does not lower, the engine
     /// falls back to the plan interpreter automatically and
     /// [`Engine::fallback_reason`] says why. Both backends cache the
     /// blocks' `ports()` and `sample()` metadata at build time, so
@@ -186,7 +186,7 @@ impl Engine {
         if backend == Backend::Compiled {
             let outcome = {
                 let mut cache = crate::kernel::global_cache().lock();
-                cache.get_or_compile(&e.diagram, &order, dt, true)
+                cache.get_or_compile(&e.diagram, order, dt, true)
             };
             e.attach_compiled(outcome);
         }
@@ -205,7 +205,7 @@ impl Engine {
         assert!(dt > 0.0, "fundamental step must be positive");
         let order = diagram.sorted_order()?;
         let mut e = Self::build_interpreted(diagram, dt, &order);
-        let outcome = cache.get_or_compile(&e.diagram, &order, dt, true);
+        let outcome = cache.get_or_compile(&e.diagram, order, dt, true);
         e.attach_compiled(outcome);
         Ok(e)
     }

@@ -275,6 +275,92 @@ impl Diagram {
         DiagramFingerprint { blocks }
     }
 
+    /// The fields of [`Diagram::fingerprint`] encoded into one byte
+    /// buffer — the compact exact key of the plan cache.
+    ///
+    /// The encoding is injective: lengths and indices are LEB128
+    /// varints, strings are length-prefixed, enums are tagged and each
+    /// `f64` is written as its bits. Equal keys therefore mean equal
+    /// fingerprints and vice versa, except where bitwise and `PartialEq`
+    /// comparison of `f64` differ: a `0.0` and a `-0.0` parameter key
+    /// apart, and a NaN keys equal to a NaN with the same bits.
+    pub fn structural_key(&self) -> Vec<u8> {
+        fn uint(k: &mut Vec<u8>, mut v: u64) {
+            while v >= 0x80 {
+                k.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            k.push(v as u8);
+        }
+        fn text(k: &mut Vec<u8>, s: &str) {
+            uint(k, s.len() as u64);
+            k.extend_from_slice(s.as_bytes());
+        }
+        fn bits(k: &mut Vec<u8>, v: f64) {
+            k.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        let mut k = Vec::with_capacity(32 * self.blocks.len());
+        uint(&mut k, self.blocks.len() as u64);
+        for id in self.ids() {
+            let b = self.block(id);
+            text(&mut k, self.name(id));
+            text(&mut k, b.type_name());
+            let params = b.params();
+            uint(&mut k, params.len() as u64);
+            for (name, v) in &params {
+                text(&mut k, name);
+                match v {
+                    ParamValue::F(x) => {
+                        k.push(0);
+                        bits(&mut k, *x);
+                    }
+                    ParamValue::I(x) => {
+                        k.push(1);
+                        k.extend_from_slice(&x.to_le_bytes());
+                    }
+                    ParamValue::S(s) => {
+                        k.push(2);
+                        text(&mut k, s);
+                    }
+                }
+            }
+            let ports = b.ports();
+            uint(&mut k, ports.inputs as u64);
+            uint(&mut k, ports.outputs as u64);
+            uint(&mut k, ports.events as u64);
+            k.push(u8::from(b.feedthrough()));
+            match b.sample() {
+                SampleTime::Continuous => k.push(0),
+                SampleTime::Discrete { period, offset } => {
+                    k.push(1);
+                    bits(&mut k, period);
+                    bits(&mut k, offset);
+                }
+                SampleTime::Triggered => k.push(2),
+            }
+            for p in 0..ports.inputs {
+                match self.source_of((id, p)) {
+                    None => k.push(0),
+                    Some((src, port)) => {
+                        k.push(1);
+                        uint(&mut k, src.0 as u64);
+                        uint(&mut k, port as u64);
+                    }
+                }
+            }
+            for e in 0..ports.events {
+                match self.event_target_of(id, e) {
+                    None => k.push(0),
+                    Some(dst) => {
+                        k.push(1);
+                        uint(&mut k, dst.0 as u64);
+                    }
+                }
+            }
+        }
+        k
+    }
+
     /// Iterate block ids in insertion order.
     pub fn ids(&self) -> impl Iterator<Item = BlockId> {
         (0..self.blocks.len()).map(BlockId)

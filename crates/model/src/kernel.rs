@@ -21,10 +21,14 @@
 //!   structure-of-arrays lanes: the value arena, state, parameter and
 //!   constant pools are replicated per lane and every tape entry loops
 //!   over lanes, amortizing instruction decode across instances.
-//! * [`PlanCache`] keys compiled artifacts by `Diagram::fingerprint()`
-//!   plus a lowered-spec digest, so repeated instantiations of the same
-//!   topology (verify campaigns, `reset()`-heavy workloads) reuse the
-//!   tape instead of recompiling.
+//! * [`PlanCache`] keys compiled artifacts by a lowered-spec digest plus
+//!   [`Diagram::structural_key`], a compact exact byte encoding of the
+//!   diagram's fingerprint, so repeated instantiations of the same
+//!   topology (verify campaigns, `reset()`-heavy workloads, served
+//!   sessions) reuse the tape instead of recompiling. A [`Lowering`]
+//!   carries one diagram's lowered specs and digest, so a scheduler can
+//!   lower once, look the plan up, and build it on a miss without
+//!   holding the cache.
 //!
 //! Everything stays inside `#![forbid(unsafe_code)]`: slots are
 //! validated at compile time and indexed with ordinary checked slices;
@@ -42,7 +46,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::block::{Block, SampleTime};
-use crate::graph::{BlockId, Diagram, DiagramFingerprint, Source};
+use crate::graph::{BlockId, Diagram, Source};
 use crate::plan::{ExecutionPlan, Sched, UNCONNECTED};
 use crate::signal::Value;
 
@@ -1054,10 +1058,10 @@ fn lower_all(diagram: &Diagram) -> Result<Vec<KernelSpec>, KernelError> {
 }
 
 /// FNV-1a digest of the lowered specs plus compile options. Combined
-/// with `Diagram::fingerprint()` equality this keys the [`PlanCache`]:
-/// the fingerprint covers topology/wiring, the digest covers everything
+/// with [`Diagram::structural_key`] equality this keys the [`PlanCache`]:
+/// the key covers topology/wiring, the digest covers everything
 /// the lowering resolved (exact parameter bits, `Value` variants the
-/// fingerprint's numeric view would conflate, capture state, fold
+/// key's parameter view would conflate, capture state, fold
 /// mode).
 fn specs_digest(specs: &[KernelSpec], dt: f64, fold: bool, prune: &[usize]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1108,7 +1112,7 @@ pub(crate) fn compile(
     fold: bool,
 ) -> Result<CompiledPlan, KernelError> {
     let specs = lower_all(diagram)?;
-    Ok(build(diagram, order, dt, specs, prune, fold))
+    Ok(build(diagram, order, dt, &specs, prune, fold))
 }
 
 /// Assemble the tape from already-lowered specs (infallible).
@@ -1116,7 +1120,7 @@ fn build(
     diagram: &Diagram,
     order: &[BlockId],
     dt: f64,
-    mut specs: Vec<KernelSpec>,
+    specs: &[KernelSpec],
     prune: &[usize],
     fold: bool,
 ) -> CompiledPlan {
@@ -1129,9 +1133,12 @@ fn build(
         .all(|&b| matches!(exec.sched[b as usize], Sched::EveryStep));
 
     let mut folded = vec![false; n];
-    if fold {
-        fold_constants(&exec, &mut specs, &mut folded, prune, dt, zero_slot);
-    }
+    let constants = if fold {
+        fold_constants(&exec, specs, &mut folded, prune, dt, zero_slot)
+    } else {
+        Vec::new()
+    };
+    let mut folded_spec;
 
     let mut tape = Vec::with_capacity(exec.order.len());
     let mut opool = Vec::new();
@@ -1146,7 +1153,12 @@ fn build(
         if prune.contains(&bi) {
             continue;
         }
-        let s = &specs[bi];
+        let mut s = &specs[bi];
+        if folded[bi] {
+            let v = constants[exec.out_base[bi] as usize];
+            folded_spec = KernelSpec::stateless(k_const, s.family).with_consts(vec![v]);
+            s = &folded_spec;
+        }
         let dst = if exec.out_count[bi] == 1 {
             exec.out_base[bi]
         } else {
@@ -1204,8 +1216,9 @@ fn build(
 /// Const-subgraph pre-evaluation: mirror `peert-lint`'s rule (Constant
 /// roots; a foldable block folds when all *connected* inputs come from
 /// folded blocks and at least one input is connected), evaluate each
-/// folded block's kernel once at compile time, and replace its spec
-/// with a `k_const` emitting the computed `Value`.
+/// folded block's kernel once at compile time, and return the
+/// evaluated arena: `build` replaces each folded block's spec with a
+/// `k_const` emitting the `Value` in its output slot.
 ///
 /// Folding is restricted to zero-offset schedules: with offsets all
 /// zero every block writes its slot on step 0 in topological order, so
@@ -1214,12 +1227,12 @@ fn build(
 /// are all time-invariant, so evaluation at `t = 0` is general.)
 fn fold_constants(
     exec: &ExecutionPlan,
-    specs: &mut [KernelSpec],
+    specs: &[KernelSpec],
     folded: &mut [bool],
     prune: &[usize],
     dt: f64,
     zero_slot: u32,
-) {
+) -> Vec<Value> {
     let sched_ok = |bi: usize| match exec.sched[bi] {
         Sched::EveryStep => true,
         Sched::Bucket(k) => exec.buckets[k as usize].offset_steps == 0,
@@ -1268,41 +1281,38 @@ fn fold_constants(
         }
     }
     // Evaluate the folded subgraph once over a scalar arena, in
-    // topological order, then rewrite specs.
+    // topological order.
     let mut arena = vec![Value::default(); exec.arena_len + 1];
     for &b in &exec.order {
         let bi = b as usize;
         if !folded[bi] {
             continue;
         }
-        let (v, fam) = {
-            let s = &specs[bi];
-            let ib = exec.in_base[bi] as usize;
-            let ops: Vec<u32> = exec.in_src[ib..ib + exec.in_count[bi] as usize]
-                .iter()
-                .map(|&src| if src == UNCONNECTED { zero_slot } else { src })
-                .collect();
-            let mut state = s.state.clone();
-            let dst = exec.out_base[bi] as usize;
-            let mut ctx = KernelCtx {
-                t: 0.0,
-                dt,
-                lanes: 1,
-                slen: state.len(),
-                plen: s.params.len(),
-                clen: s.consts.len(),
-                dst,
-                ops: &ops,
-                values: &mut arena,
-                state: &mut state,
-                params: &s.params,
-                consts: &s.consts,
-            };
-            (s.out)(&mut ctx);
-            (arena[dst], s.family)
+        let s = &specs[bi];
+        let ib = exec.in_base[bi] as usize;
+        let ops: Vec<u32> = exec.in_src[ib..ib + exec.in_count[bi] as usize]
+            .iter()
+            .map(|&src| if src == UNCONNECTED { zero_slot } else { src })
+            .collect();
+        let mut state = s.state.clone();
+        let dst = exec.out_base[bi] as usize;
+        let mut ctx = KernelCtx {
+            t: 0.0,
+            dt,
+            lanes: 1,
+            slen: state.len(),
+            plen: s.params.len(),
+            clen: s.consts.len(),
+            dst,
+            ops: &ops,
+            values: &mut arena,
+            state: &mut state,
+            params: &s.params,
+            consts: &s.consts,
         };
-        specs[bi] = KernelSpec::stateless(k_const, fam).with_consts(vec![v]);
+        (s.out)(&mut ctx);
     }
+    arena
 }
 
 // ---------------------------------------------------------------------
@@ -1311,13 +1321,21 @@ fn fold_constants(
 
 struct CacheEntry {
     digest: u64,
-    fingerprint: DiagramFingerprint,
+    key: Box<[u8]>,
     plan: Arc<CompiledPlan>,
 }
 
-/// An LRU cache of compiled plans keyed by `Diagram::fingerprint()`
-/// plus a lowered-spec digest, with hit/miss counters (exported through
-/// `peert-trace` as `plancache.hit` / `plancache.miss` by the engine).
+/// An LRU cache of compiled plans keyed by a lowered-spec digest plus
+/// [`Diagram::structural_key`], with hit/miss counters (exported
+/// through `peert-trace` as `plancache.hit` / `plancache.miss` by the
+/// engine).
+///
+/// The structural key is exact, so a hit never depends on the digest
+/// alone: equal `(digest, key)` pairs compile to equal plans. Lookup
+/// and insertion are separate calls so a caller that shares the cache
+/// behind a lock can compile between them with the lock released;
+/// [`PlanCache::insert`] re-checks the key, so a plan that another
+/// caller inserted meanwhile wins and one key never holds two entries.
 pub struct PlanCache {
     cap: usize,
     entries: Vec<CacheEntry>,
@@ -1357,38 +1375,139 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
+    fn position(&self, digest: u64, key: &[u8]) -> Option<usize> {
+        self.entries.iter().position(|e| e.digest == digest && *e.key == *key)
+    }
+
+    /// Move entry `pos` to the front (most recently used) and share its
+    /// plan.
+    fn promote(&mut self, pos: usize) -> Arc<CompiledPlan> {
+        let entry = self.entries.remove(pos);
+        let plan = Arc::clone(&entry.plan);
+        self.entries.insert(0, entry);
+        plan
+    }
+
+    /// Look up the plan for `(digest, key)`: the digest of a
+    /// [`Lowering`] and the [`Diagram::structural_key`] of the diagram
+    /// it lowered. Counts a hit (and marks the plan most recently used)
+    /// or a miss; after a miss the caller compiles the plan and hands
+    /// it to [`PlanCache::insert`].
+    pub fn lookup(&mut self, digest: u64, key: &[u8]) -> Option<Arc<CompiledPlan>> {
+        match self.position(digest, key) {
+            Some(pos) => {
+                self.hits += 1;
+                Some(self.promote(pos))
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Insert a plan compiled after a [`PlanCache::lookup`] miss and
+    /// return the resident plan for its key: `plan` itself, or the plan
+    /// another caller inserted for the same key in the meantime (then
+    /// `plan` is dropped). Evicts least recently used plans past the
+    /// capacity. Counts nothing — the lookup already counted the miss.
+    pub fn insert(
+        &mut self,
+        digest: u64,
+        key: &[u8],
+        plan: Arc<CompiledPlan>,
+    ) -> Arc<CompiledPlan> {
+        if let Some(pos) = self.position(digest, key) {
+            return self.promote(pos);
+        }
+        self.entries.insert(0, CacheEntry { digest, key: key.into(), plan: Arc::clone(&plan) });
+        if self.entries.len() > self.cap {
+            self.evictions += (self.entries.len() - self.cap) as u64;
+            self.entries.truncate(self.cap);
+        }
+        plan
+    }
+
     /// Look up or compile the plan for `diagram`. Returns the shared
     /// plan and whether it was a cache hit. The unpruned compile path
     /// only — pruned tapes are bespoke and bypass the cache.
     pub(crate) fn get_or_compile(
         &mut self,
         diagram: &Diagram,
-        order: &[BlockId],
+        order: Vec<BlockId>,
         dt: f64,
         fold: bool,
     ) -> Result<(Arc<CompiledPlan>, bool), KernelError> {
-        let specs = lower_all(diagram)?;
-        let digest = specs_digest(&specs, dt, fold, &[]);
-        let fingerprint = diagram.fingerprint();
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|e| e.digest == digest && e.fingerprint == fingerprint)
-        {
-            let entry = self.entries.remove(pos);
-            let plan = Arc::clone(&entry.plan);
-            self.entries.insert(0, entry);
-            self.hits += 1;
+        let lowering = Lowering::with_fold(diagram, order, dt, fold)?;
+        let key = diagram.structural_key();
+        if let Some(plan) = self.lookup(lowering.digest, &key) {
             return Ok((plan, true));
         }
-        let plan = Arc::new(build(diagram, order, dt, specs, &[], fold));
-        self.misses += 1;
-        self.entries.insert(0, CacheEntry { digest, fingerprint, plan: Arc::clone(&plan) });
-        if self.entries.len() > self.cap {
-            self.evictions += (self.entries.len() - self.cap) as u64;
-            self.entries.truncate(self.cap);
-        }
-        Ok((plan, false))
+        let plan = Arc::new(lowering.build(diagram));
+        Ok((self.insert(lowering.digest, &key, plan), false))
+    }
+}
+
+/// A diagram lowered to kernel specs in execution order: everything a
+/// [`CompiledPlan`] is built from, plus the digest that keys it in the
+/// [`PlanCache`].
+///
+/// A scheduler lowers each submitted diagram once, groups and routes
+/// by the digest, and builds the plan with [`Lowering::build`] only on
+/// a cache miss — possibly on another thread, with no lock held.
+pub struct Lowering {
+    order: Vec<BlockId>,
+    specs: Vec<KernelSpec>,
+    dt: f64,
+    fold: bool,
+    digest: u64,
+}
+
+impl Lowering {
+    /// Lower `diagram` under the batch-engine compilation flags
+    /// (const-folding off, so per-lane overrides keep their targets).
+    /// `order` is the diagram's [`Diagram::sorted_order`]. Fails with
+    /// the first block that cannot lower.
+    pub fn new(diagram: &Diagram, order: Vec<BlockId>, dt: f64) -> Result<Self, KernelError> {
+        Self::with_fold(diagram, order, dt, false)
+    }
+
+    fn with_fold(
+        diagram: &Diagram,
+        order: Vec<BlockId>,
+        dt: f64,
+        fold: bool,
+    ) -> Result<Self, KernelError> {
+        let specs = lower_all(diagram)?;
+        let digest = specs_digest(&specs, dt, fold, &[]);
+        Ok(Lowering { order, specs, dt, fold, digest })
+    }
+
+    /// The plan-cache digest; equal to [`lowering_digest`] of the same
+    /// diagram and `dt`.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Length of `block`'s parameter window (the indices
+    /// [`BatchEngine::set_param`] accepts), or `None` when the diagram
+    /// has no such block.
+    pub fn param_count(&self, block: BlockId) -> Option<usize> {
+        self.specs.get(block.index()).map(|s| s.params.len())
+    }
+
+    /// Kernel family `block` lowered to (`"Constant"` for the blocks
+    /// [`BatchEngine::set_const`] accepts), or `None` when the diagram
+    /// has no such block.
+    pub fn family(&self, block: BlockId) -> Option<&'static str> {
+        self.specs.get(block.index()).map(|s| s.family)
+    }
+
+    /// Build the plan. `diagram` must be the diagram this lowering was
+    /// made from (the tape takes its wiring from it). Never fails:
+    /// lowering was the fallible stage.
+    pub fn build(&self, diagram: &Diagram) -> CompiledPlan {
+        build(diagram, &self.order, self.dt, &self.specs, &[], self.fold)
     }
 }
 
@@ -1426,10 +1545,11 @@ pub fn global_cache_stats() -> CacheStats {
 /// compilation flags (`fold` off), or `None` when any block refuses to
 /// lower (such diagrams need the interpreter).
 ///
-/// Two diagrams sharing both this digest and [`Diagram::fingerprint`]
-/// compile to the same [`CompiledPlan`] cache entry, so a scheduler can
-/// use the digest as a cheap pre-grouping key for lane coalescing
-/// without compiling anything.
+/// Two diagrams sharing both this digest and
+/// [`Diagram::structural_key`] compile to the same [`CompiledPlan`]
+/// cache entry, so a scheduler can use the digest as a cheap
+/// pre-grouping key for lane coalescing without compiling anything.
+/// [`Lowering::digest`] returns the same value.
 pub fn lowering_digest(diagram: &Diagram, dt: f64) -> Option<u64> {
     lower_all(diagram).ok().map(|specs| specs_digest(&specs, dt, false, &[]))
 }
@@ -1755,7 +1875,7 @@ impl BatchEngine {
         let order = diagram.sorted_order()?;
         let (plan, _) = global_cache()
             .lock()
-            .get_or_compile(diagram, &order, dt, false)
+            .get_or_compile(diagram, order, dt, false)
             .map_err(crate::engine::SimError::Kernel)?;
         Ok(Self::from_plan(plan, dt, lanes))
     }
@@ -1771,7 +1891,7 @@ impl BatchEngine {
         assert!(dt > 0.0, "dt must be positive");
         let order = diagram.sorted_order()?;
         let (plan, _) = cache
-            .get_or_compile(diagram, &order, dt, false)
+            .get_or_compile(diagram, order, dt, false)
             .map_err(crate::engine::SimError::Kernel)?;
         Ok(Self::from_plan(plan, dt, lanes))
     }

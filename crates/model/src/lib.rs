@@ -29,7 +29,7 @@
 //!   with an allocation-free step loop;
 //! * a **compiled kernel backend** ([`kernel`]): the plan lowered further
 //!   into a flat tape of monomorphized kernels (no per-step dispatch),
-//!   cached by diagram fingerprint, with a batched SoA engine stepping N
+//!   cached by lowering digest and exact structural key, with a batched SoA engine stepping N
 //!   instances of the same plan together;
 //! * **signal logging** ([`log`]) — the Scope data every experiment
 //!   post-processes.
@@ -54,7 +54,7 @@ pub use block::{Block, BlockCtx, PortCount, SampleTime};
 pub use engine::{Backend, Engine, ProbeError, SimError};
 pub use kernel::{
     global_cache_stats, lowering_digest, BatchEngine, CacheStats, CompiledPlan, KernelError,
-    LaneCheckpoint, PlanCache,
+    LaneCheckpoint, Lowering, PlanCache,
 };
 pub use graph::{BlockFingerprint, BlockId, Diagram, DiagramFingerprint, GraphError};
 pub use log::SignalLog;

@@ -7,13 +7,15 @@
 //! * **admission** ([`Server::submit`]): per-tenant quotas and bounded
 //!   per-shard queues. Admission never blocks — every refusal is an
 //!   immediate [`Reject`] with its reason;
-//! * **coalescing**: runnable sessions are
-//!   grouped by `Diagram::fingerprint` + lowering digest and stepped
+//! * **coalescing**: admission lowers each session once
+//!   ([`peert_model::Lowering`]); runnable sessions are grouped by that
+//!   lowering's digest + the exact `Diagram::structural_key` and stepped
 //!   through one shared [`peert_model::BatchEngine`] — many tenants,
 //!   one compiled plan, SoA lanes — with per-lane
 //!   [`LaneOverride`] divergence for parameter sweeps and Monte-Carlo
-//!   campaigns. Diagrams that don't lower fall back to solo
-//!   interpreter lanes;
+//!   campaigns. A shard compiles a missing plan from the admission
+//!   lowering with the server's plan-cache lock released. Diagrams that
+//!   don't lower fall back to solo interpreter lanes;
 //! * **scheduling**: shard worker threads (crossbeam channels, no
 //!   async runtime) advance each gang one quantum of steps per round,
 //!   highest priority first, so a long session can't starve the rest

@@ -7,9 +7,11 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Sender, TrySendError};
 use parking_lot::Mutex;
-use peert_model::{lowering_digest, Diagram, PlanCache};
+use peert_model::{lowering_digest, BlockId, Diagram, Lowering, PlanCache};
 
-use crate::session::{Reject, SessionHandle, SessionSpec, SessionTask};
+use crate::session::{
+    Admitted, LaneOverride, Lowered, Model, Reject, SessionHandle, SessionSpec, SessionTask,
+};
 use crate::shard::{run_shard, ShardMsg};
 use crate::stats::{PlanCacheStats, ServeCounters, ServeStats, ShardState};
 
@@ -178,16 +180,25 @@ impl Server {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(self.count_reject(Reject::ShuttingDown));
         }
-        if let Err(r) = validate(&spec) {
+        let order = match validate(&spec) {
+            Ok(order) => order,
+            Err(r) => return Err(self.count_reject(r)),
+        };
+        // the session's one lowering: routes it, keys its plan, and is
+        // what the shard builds the plan from on a cache miss
+        let lowering = Lowering::new(&spec.diagram, order, spec.dt).ok();
+        let overrides_ok = match &lowering {
+            Some(l) => validate_overrides(&spec.overrides, l),
+            None if spec.overrides.is_empty() => Ok(()),
+            None => Err(Reject::OverridesUnsupported(
+                "diagram does not lower to the batch kernel".into(),
+            )),
+        };
+        if let Err(r) = overrides_ok {
             return Err(self.count_reject(r));
         }
-        let digest = lowering_digest(&spec.diagram, spec.dt);
-        if digest.is_none() && !spec.overrides.is_empty() {
-            return Err(self.count_reject(Reject::OverridesUnsupported(
-                "diagram does not lower to the batch kernel".into(),
-            )));
-        }
 
+        let digest = lowering.as_ref().map(Lowering::digest);
         let shard = shard_of(digest, &spec.diagram, self.txs.len());
 
         // deadline admission: predict run time from the routed shard's
@@ -229,22 +240,25 @@ impl Server {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         let cancel = Arc::new(AtomicBool::new(false));
-        let fingerprint = spec.diagram.fingerprint();
+        let model = match lowering {
+            Some(lowering) => {
+                let key = spec.diagram.structural_key();
+                Model::Lowered(Lowered { diagram: spec.diagram, lowering, key })
+            }
+            None => Model::Interpreted(spec.diagram),
+        };
         let task = SessionTask {
             seq,
-            diagram: Some(spec.diagram),
             dt: spec.dt,
             budget: spec.steps,
             probes: spec.probes,
             overrides: spec.overrides,
             priority: spec.priority,
-            digest,
-            fingerprint,
             cancel: Arc::clone(&cancel),
             tx,
         };
         let tenant = spec.tenant;
-        match self.txs[shard].try_send(ShardMsg::Session(Box::new(task))) {
+        match self.txs[shard].try_send(ShardMsg::Session(Box::new(Admitted { task, model }))) {
             Ok(()) => {
                 self.shared.counters.lock().accepted += 1;
                 Ok(SessionHandle {
@@ -347,16 +361,19 @@ impl Drop for Server {
     }
 }
 
-fn validate(spec: &SessionSpec) -> Result<(), Reject> {
+/// Check everything about `spec` that needs no lowering; returns the
+/// diagram's execution order.
+fn validate(spec: &SessionSpec) -> Result<Vec<BlockId>, Reject> {
     if spec.steps == 0 {
         return Err(Reject::Invalid("step budget is zero".into()));
     }
     if spec.dt.is_nan() || spec.dt <= 0.0 {
         return Err(Reject::Invalid(format!("dt {} is not positive", spec.dt)));
     }
-    if let Err(e) = spec.diagram.sorted_order() {
-        return Err(Reject::Invalid(format!("diagram does not schedule: {e:?}")));
-    }
+    let order = match spec.diagram.sorted_order() {
+        Ok(order) => order,
+        Err(e) => return Err(Reject::Invalid(format!("diagram does not schedule: {e:?}"))),
+    };
     for &(id, port) in &spec.probes {
         if id.index() >= spec.diagram.len() {
             return Err(Reject::Invalid(format!("probe block #{} out of range", id.index())));
@@ -366,6 +383,39 @@ fn validate(spec: &SessionSpec) -> Result<(), Reject> {
                 "probe port {port} out of range for block #{}",
                 id.index()
             )));
+        }
+    }
+    Ok(order)
+}
+
+/// Check that every override targets something its lane will have: a
+/// block of the diagram, a parameter inside that block's lowered
+/// window, a `Constant` for a constant override. The shard checks the
+/// built plan again, as a defence.
+fn validate_overrides(overrides: &[LaneOverride], lowering: &Lowering) -> Result<(), Reject> {
+    let missing = |block: BlockId| {
+        Reject::Invalid(format!("override block #{} out of range", block.index()))
+    };
+    for o in overrides {
+        match *o {
+            LaneOverride::Param { block, index, .. } => {
+                let n = lowering.param_count(block).ok_or_else(|| missing(block))?;
+                if index >= n {
+                    return Err(Reject::Invalid(format!(
+                        "override parameter {index} out of range for block #{} ({n} parameters)",
+                        block.index()
+                    )));
+                }
+            }
+            LaneOverride::Const { block, .. } => {
+                let family = lowering.family(block).ok_or_else(|| missing(block))?;
+                if family != "Constant" {
+                    return Err(Reject::Invalid(format!(
+                        "constant override on block #{}, a {family}, not a Constant",
+                        block.index()
+                    )));
+                }
+            }
         }
     }
     Ok(())

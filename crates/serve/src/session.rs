@@ -6,17 +6,19 @@ use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use peert_model::graph::Source;
-use peert_model::{Diagram, Value};
+use peert_model::{Diagram, Lowering, Value};
 
 use crate::server::Shared;
 
 /// Everything the service needs to run one simulation session.
 ///
-/// The diagram is consumed: ownership moves into the daemon, which uses
-/// it as the compilation key (fingerprint + lowering digest) for lane
-/// coalescing. Per-lane divergence — parameter sweeps, Monte-Carlo
-/// campaigns — goes through [`LaneOverride`]s so divergent sessions
-/// still share one compiled plan.
+/// The diagram is consumed: ownership moves into the daemon, which
+/// lowers it once at admission and keys lane coalescing and the plan
+/// cache by that lowering's digest plus the diagram's exact structural
+/// key ([`peert_model::Diagram::structural_key`]). Per-lane divergence —
+/// parameter sweeps, Monte-Carlo campaigns — goes through
+/// [`LaneOverride`]s so divergent sessions still share one compiled
+/// plan.
 pub struct SessionSpec {
     /// Tenant the session is accounted to (quota key).
     pub tenant: String,
@@ -341,17 +343,46 @@ impl Drop for SessionHandle {
     }
 }
 
-/// The daemon-side half of an admitted session.
+/// An admitted session as it reaches its shard: the daemon-side half
+/// of the session plus what its engine is built from.
+pub(crate) struct Admitted {
+    pub(crate) task: SessionTask,
+    pub(crate) model: Model,
+}
+
+/// What a session's engine is built from, made once at admission.
+pub(crate) enum Model {
+    /// The diagram lowers: a gang engine over a cached plan.
+    Lowered(Lowered),
+    /// The diagram does not lower: a solo interpreter engine.
+    Interpreted(Diagram),
+}
+
+/// A lowered session model: the diagram, its admission lowering and
+/// its plan-cache key. The shard builds the plan from these on a cache
+/// miss and never lowers or keys a diagram itself.
+pub(crate) struct Lowered {
+    pub(crate) diagram: Diagram,
+    pub(crate) lowering: Lowering,
+    pub(crate) key: Vec<u8>,
+}
+
+impl Lowered {
+    /// Whether `other` compiles to the same plan (equal digest and
+    /// exact structural key).
+    pub(crate) fn same_plan(&self, other: &Lowered) -> bool {
+        self.lowering.digest() == other.lowering.digest() && self.key == other.key
+    }
+}
+
+/// The daemon-side half of an admitted session: its stream and budget.
 pub(crate) struct SessionTask {
     pub(crate) seq: u64,
-    pub(crate) diagram: Option<Diagram>,
     pub(crate) dt: f64,
     pub(crate) budget: u64,
     pub(crate) probes: Vec<Source>,
     pub(crate) overrides: Vec<LaneOverride>,
     pub(crate) priority: u8,
-    pub(crate) digest: Option<u64>,
-    pub(crate) fingerprint: peert_model::DiagramFingerprint,
     pub(crate) cancel: Arc<AtomicBool>,
     pub(crate) tx: Sender<SessionEvent>,
 }

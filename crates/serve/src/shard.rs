@@ -8,15 +8,17 @@ use std::time::Instant;
 
 use crossbeam::channel::Receiver;
 use peert_model::graph::Source;
-use peert_model::{Backend, BatchEngine, DiagramFingerprint, Engine, Value};
+use peert_model::{Backend, BatchEngine, Diagram, Engine, Value};
 
 use crate::server::Shared;
-use crate::session::{LaneOverride, SessionEvent, SessionOutcome, SessionTask};
+use crate::session::{
+    Admitted, LaneOverride, Lowered, Model, SessionEvent, SessionOutcome, SessionTask,
+};
 
 /// What the admission front-end hands a shard.
 pub(crate) enum ShardMsg {
     /// An admitted session.
-    Session(Box<SessionTask>),
+    Session(Box<Admitted>),
     /// A generic job (experiment sweeps).
     Job(Box<dyn FnOnce() + Send>),
     /// Drain everything already admitted, then exit.
@@ -102,7 +104,7 @@ struct Solo {
 }
 
 pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardMsg>) {
-    let mut pending: Vec<SessionTask> = Vec::new();
+    let mut pending: Vec<Admitted> = Vec::new();
     let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     let mut gangs: Vec<Gang> = Vec::new();
     let mut solos: Vec<Solo> = Vec::new();
@@ -179,7 +181,7 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
 
 fn absorb(
     m: ShardMsg,
-    pending: &mut Vec<SessionTask>,
+    pending: &mut Vec<Admitted>,
     jobs: &mut Vec<Box<dyn FnOnce() + Send>>,
     shutting_down: &mut bool,
 ) {
@@ -191,79 +193,83 @@ fn absorb(
 }
 
 /// Group the drained backlog into gangs: stable-sort by (priority,
-/// arrival), bucket by (priority, lowering digest, fingerprint) in
+/// arrival), bucket by (priority, lowering digest, structural key) in
 /// first-seen order, then cut each bucket into `max_lanes`-wide gangs.
-/// Unlowerable sessions become solo interpreter lanes.
+/// A bucket keeps its first session's model; the others' models are
+/// dropped once compared. Unlowerable sessions become solo interpreter
+/// lanes.
 fn form_gangs(
     shard: usize,
     shared: &Arc<Shared>,
-    pending: &mut Vec<SessionTask>,
+    pending: &mut Vec<Admitted>,
     gangs: &mut Vec<Gang>,
     solos: &mut Vec<Solo>,
 ) {
-    pending.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
-    let mut buckets: Vec<(u8, u64, DiagramFingerprint, Vec<SessionTask>)> = Vec::new();
-    for task in pending.drain(..) {
-        let Some(digest) = task.digest else {
-            start_solo(task, shard, shared, solos);
-            continue;
+    pending.sort_by(|a, b| {
+        let (a, b) = (&a.task, &b.task);
+        b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq))
+    });
+    let mut buckets: Vec<(Lowered, Vec<SessionTask>)> = Vec::new();
+    for Admitted { task, model } in pending.drain(..) {
+        let lowered = match model {
+            Model::Lowered(l) => l,
+            Model::Interpreted(diagram) => {
+                start_solo(task, diagram, shard, shared, solos);
+                continue;
+            }
         };
-        if let Some(b) = buckets.iter_mut().find(|(p, d, fp, _)| {
-            *p == task.priority && *d == digest && *fp == task.fingerprint
-        }) {
-            b.3.push(task);
+        if let Some(b) = buckets
+            .iter_mut()
+            .find(|(l, tasks)| tasks[0].priority == task.priority && l.same_plan(&lowered))
+        {
+            b.1.push(task);
         } else {
-            buckets.push((task.priority, digest, task.fingerprint.clone(), vec![task]));
+            buckets.push((lowered, vec![task]));
         }
     }
     let max_lanes = shared.config.max_lanes.max(1);
-    for (priority, _, _, mut tasks) in buckets {
+    for (lowered, mut tasks) in buckets {
         while !tasks.is_empty() {
             let take = tasks.len().min(max_lanes);
             let group: Vec<SessionTask> = tasks.drain(..take).collect();
-            start_gang(group, priority, shard, shared, gangs);
+            start_gang(group, &lowered, shard, shared, gangs);
         }
     }
 }
 
+/// Start one gang on `lowered`'s plan: look it up under the server's
+/// cache lock and, on a miss, build it from the admission lowering
+/// with the lock released, then insert it. Sessions of one plan share
+/// a digest and so always route to this shard, so a miss is still
+/// exactly one compile.
 fn start_gang(
     group: Vec<SessionTask>,
-    priority: u8,
+    lowered: &Lowered,
     shard: usize,
     shared: &Arc<Shared>,
     gangs: &mut Vec<Gang>,
 ) {
     let n = group.len();
     let seq = group[0].seq;
-    let dt = group[0].dt;
+    let priority = group[0].priority;
     let mut lanes: Vec<Lane> = group.into_iter().map(Lane::new).collect();
-    let diagram = lanes[0].task.diagram.take().expect("gang representative diagram");
 
-    let engine = {
-        let mut cache = shared.cache.lock();
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let r = BatchEngine::with_cache(&diagram, dt, n, &mut cache);
-        let (dh, dm) = (cache.hits() - h0, cache.misses() - m0);
-        drop(cache);
-        let mut st = shared.shard_states[shard].lock();
-        st.cache_hits += dh;
-        st.cache_misses += dm;
-        st.sessions += n as u64;
-        r
-    };
-    let mut engine = match engine {
-        Ok(e) => e,
-        Err(e) => {
-            // admission proved the diagram lowers, so this is unreachable
-            // in practice — still, fail the sessions rather than the shard
-            for lane in &mut lanes {
-                lane.finish(SessionOutcome::Failed(format!("batch compile: {e:?}")), shared);
-            }
-            return;
-        }
-    };
+    let digest = lowered.lowering.digest();
+    let cached = shared.cache.lock().lookup(digest, &lowered.key);
+    let hit = cached.is_some();
+    let plan = cached.unwrap_or_else(|| {
+        let plan = Arc::new(lowered.lowering.build(&lowered.diagram));
+        shared.cache.lock().insert(digest, &lowered.key, plan)
+    });
+    let mut engine = BatchEngine::from_shared_plan(plan, n);
     {
         let mut st = shared.shard_states[shard].lock();
+        if hit {
+            st.cache_hits += 1;
+        } else {
+            st.cache_misses += 1;
+        }
+        st.sessions += n as u64;
         st.batches += 1;
     }
     {
@@ -368,12 +374,17 @@ fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     }
 }
 
-fn start_solo(task: SessionTask, shard: usize, shared: &Arc<Shared>, solos: &mut Vec<Solo>) {
+fn start_solo(
+    task: SessionTask,
+    diagram: Diagram,
+    shard: usize,
+    shared: &Arc<Shared>,
+    solos: &mut Vec<Solo>,
+) {
     let priority = task.priority;
     let seq = task.seq;
     let dt = task.dt;
     let mut lane = Lane::new(task);
-    let diagram = lane.task.diagram.take().expect("solo diagram");
     {
         let mut st = shared.shard_states[shard].lock();
         st.sessions += 1;

@@ -202,6 +202,33 @@ fn overrides_on_unlowerable_diagrams_reject_up_front() {
 }
 
 #[test]
+fn override_targets_are_checked_at_admission() {
+    let server = Server::start(small_config());
+    let id = peert_model::BlockId::from_index;
+    let with = |o: LaneOverride| SessionSpec::new("t", chain(1.5), DT, 10).with_override(o);
+    let bad = [
+        // no block #5 in a two-block chain
+        LaneOverride::Param { block: id(5), index: 0, value: 2.0 },
+        // a Gain has one parameter
+        LaneOverride::Param { block: id(1), index: 1, value: 2.0 },
+        // a constant override aimed at the Gain
+        LaneOverride::Const { block: id(1), value: Value::F64(2.0) },
+    ];
+    for o in bad {
+        let r = server.submit(with(o.clone()));
+        assert!(matches!(r, Err(Reject::Invalid(_))), "{o:?} admitted");
+    }
+    // the one good target is admitted and takes effect on its lane
+    let good = LaneOverride::Param { block: id(1), index: 0, value: -0.5 };
+    let r = server.submit(with(good).probe_all()).unwrap().join_deadline(JOIN).unwrap();
+    assert_eq!(r.outcome, SessionOutcome::Completed);
+    assert_eq!(r.trajectory, reference(chain(-0.5), 10));
+    let stats = server.shutdown();
+    assert_eq!(stats.counters.rejected_invalid, 3);
+    assert_eq!((stats.counters.accepted, stats.counters.failed), (1, 0));
+}
+
+#[test]
 fn cancellation_cuts_the_budget_short() {
     let server = Server::start(ServeConfig { quantum: 4, ..small_config() });
     let spec = SessionSpec::new("t", chain(1.0), DT, u64::MAX / 2).probe_all();

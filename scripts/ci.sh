@@ -70,13 +70,20 @@ if [[ "${PIL_SOAK:-0}" == "1" ]]; then
 fi
 
 # serving-layer gate: scheduler/admission property tests, catch-up gang
-# merging driven round by round (bit-exact against solo engines), plus
-# the coalesced-vs-solo throughput bench staying compilable (the
-# recorded numbers are BENCH_serve.json / E17)
+# merging driven round by round (bit-exact against solo engines), plan-
+# cache accounting with both shards compiling off the cache lock, the
+# plan cache's exact structural key held against the fingerprint and
+# the compiled plans over generated diagrams, plus the coalesced-vs-solo
+# throughput bench staying compilable (the recorded numbers are
+# BENCH_serve.json / E17)
 # shellcheck disable=SC2086
 run cargo test --release -q -p peert-serve --test serve_props $CARGO_ARGS
 # shellcheck disable=SC2086
 run cargo test --release -q -p peert-serve --test serve_merge $CARGO_ARGS
+# shellcheck disable=SC2086
+run cargo test --release -q -p peert-serve --test serve_cache $CARGO_ARGS
+# shellcheck disable=SC2086
+run cargo test --release -q -p peert-verify --test plan_key $CARGO_ARGS
 # shellcheck disable=SC2086
 run cargo bench --no-run --bench serve_throughput -p peert-bench $CARGO_ARGS
 
